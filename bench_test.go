@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/experiment"
+	"repro/internal/faultsim"
 	"repro/internal/gen"
 	"repro/internal/gnn"
 	"repro/internal/hgraph"
@@ -255,6 +256,42 @@ func BenchmarkDiagnoseThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := f.test[i%len(f.test)]
 		fw.Diagnose(f.bundle, s.Log)
+	}
+}
+
+// BenchmarkScoreCandidate measures ATPG-diagnosis candidate scoring, the
+// dominant stage of a diagnosis: one fault simulation plus the bitmask
+// TFSF/TPSF count against the observed log, cycling over the candidates
+// of one chip's report. Steady state allocates nothing.
+func BenchmarkScoreCandidate(b *testing.B) {
+	f := getFixture(b)
+	for _, compacted := range []bool{false, true} {
+		name := "uncompacted"
+		if compacted {
+			name = "compacted"
+		}
+		b.Run(name, func(b *testing.B) {
+			smp := f.bundle.Generate(dataset.SampleOptions{Count: 1, Seed: 4, Compacted: compacted})
+			if len(smp) == 0 {
+				b.Fatal("no sample generated")
+			}
+			eng := f.bundle.Diag.Fork()
+			log := eng.Sanitize(smp[0].Log)
+			observed := eng.Observe(log)
+			var cands []faultsim.Fault
+			for _, c := range eng.Diagnose(log).Candidates {
+				cands = append(cands, c.Fault)
+				eng.ScoreCandidate(c.Fault, observed)
+			}
+			if len(cands) == 0 {
+				b.Fatal("empty report")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.ScoreCandidate(cands[i%len(cands)], observed)
+			}
+		})
 	}
 }
 

@@ -97,6 +97,17 @@ func (b *Bundle) hierSt() *hierState {
 	return b.hierState
 }
 
+// Fork returns a shallow copy of the bundle whose diagnosis engine is a
+// fork (see diagnosis.Engine.Fork). The copy shares every immutable
+// artifact with b, the memoized hierarchical engine included, but owns
+// its scoring scratch, so it may diagnose concurrently with b and with
+// other forks.
+func (b *Bundle) Fork() *Bundle {
+	cp := *b
+	cp.Diag = b.Diag.Fork()
+	return &cp
+}
+
 // EnableHier forces hierarchical partitioned diagnosis for this bundle
 // with the given options. Without a call, core diagnosis auto-selects the
 // hierarchical engine for designs at or above hier.AutoGateThreshold

@@ -134,6 +134,10 @@ type Engine struct {
 	opt  Options
 
 	cones *coneStore // capture gate -> fan-in cone gate IDs, shared by forks
+
+	// scr is private candidate-scoring scratch: an Engine is not safe for
+	// concurrent use, so Fork one engine per goroutine.
+	scr scoreScratch
 }
 
 // coneStore is the fan-in cone cache shared between an engine and its
@@ -176,9 +180,9 @@ func NewEngine(arch *scan.Arch, ps *sim.PatternSet, opt Options) (*Engine, error
 
 // Fork returns an engine that shares this engine's immutable state (the
 // good-machine simulation, patterns, scan architecture, and cone cache)
-// but carries private fault-simulation scratch, so forks can inject and
-// diagnose logs concurrently from separate goroutines. Reports produced by
-// a fork are bitwise-identical to the parent's.
+// but carries private fault-simulation and scoring scratch, so forks can
+// inject and diagnose logs concurrently from separate goroutines. Reports
+// produced by a fork are bitwise-identical to the parent's.
 func (d *Engine) Fork() *Engine {
 	return &Engine{
 		sim:   d.sim,
@@ -341,9 +345,6 @@ func (d *Engine) branchCandidates(c faultsim.Fault) []faultsim.Fault {
 	return out
 }
 
-// failureKey packs a failing bit for set comparison.
-func failureKey(f scan.Failure) int64 { return int64(f.Pattern)<<32 | int64(uint32(f.Obs)) }
-
 // faultHash is a deterministic mixing function used only to break ranking
 // ties without favoring any particular member of an equivalence class.
 func faultHash(f faultsim.Fault) uint64 {
@@ -355,24 +356,13 @@ func faultHash(f faultsim.Fault) uint64 {
 }
 
 // score fault-simulates one candidate and compares its predicted failures
-// to the observed log. When the log was truncated by the tester's fail
-// memory, predicted failures beyond the last recorded pattern are not
-// evidence against the candidate and are ignored.
-func (d *Engine) score(cand faultsim.Fault, observed map[int64]bool, compacted bool, horizon int32) Candidate {
-	diff := d.fsim.Diff(d.res, []faultsim.Fault{cand})
-	pred := d.arch.FailuresFromDiffUnsorted(diff, d.ps.N, compacted)
+// to the observed log. Predicted failures past the observed horizon (the
+// last recorded pattern of a log truncated by the tester's fail memory)
+// are not evidence against the candidate and are ignored.
+func (d *Engine) score(cand faultsim.Fault, observed *Observed) Candidate {
 	c := Candidate{Fault: cand}
-	for _, p := range pred {
-		if horizon >= 0 && p.Pattern > horizon {
-			continue
-		}
-		if observed[failureKey(p)] {
-			c.TFSF++
-		} else {
-			c.TPSF++
-		}
-	}
-	c.TFSP = len(observed) - c.TFSF
+	c.TFSF, c.TPSF = observed.count(d.predict(cand, observed.Compacted))
+	c.TFSP = observed.total - c.TFSF
 	c.Score = float64(c.TFSF) - d.opt.TFSPWeight*float64(c.TFSP) - d.opt.TPSFWeight*float64(c.TPSF)
 	return c
 }
@@ -415,14 +405,7 @@ func (d *Engine) DiagnoseCtx(ctx context.Context, log *failurelog.Log) (*Report,
 	span.End()
 	obs.Add(ctx, "m3d_diag_candidates_extracted_total", int64(len(cands)))
 
-	observed := make(map[int64]bool, len(log.Fails))
-	for _, f := range log.Fails {
-		observed[failureKey(f)] = true
-	}
-	horizon := int32(-1)
-	if log.Truncated {
-		horizon = log.LastPattern()
-	}
+	observed := d.Observe(log)
 	// Stage 1: score net-level candidates.
 	span = obs.Start(ctx, "diagnosis.score")
 	scored := make([]Candidate, 0, len(cands))
@@ -431,7 +414,7 @@ func (d *Engine) DiagnoseCtx(ctx context.Context, log *failurelog.Log) (*Report,
 			span.End()
 			return nil, fmt.Errorf("diagnosis: %w", err)
 		}
-		c := d.score(cand, observed, log.Compacted, horizon)
+		c := d.score(cand, observed)
 		if c.TFSF == 0 {
 			continue
 		}
@@ -453,7 +436,7 @@ func (d *Engine) DiagnoseCtx(ctx context.Context, log *failurelog.Log) (*Report,
 			return nil, fmt.Errorf("diagnosis: %w", err)
 		}
 		for _, bc := range d.branchCandidates(c.Fault) {
-			sc := d.score(bc, observed, log.Compacted, horizon)
+			sc := d.score(bc, observed)
 			if sc.TFSF > 0 {
 				scored = append(scored, sc)
 			}
@@ -530,17 +513,10 @@ func (d *Engine) DebugExtract(log *failurelog.Log) ExtractStats {
 	log = d.sanitize(log)
 	count, responses := d.suspects(log)
 	cands := d.extractCandidates(log, count, responses)
-	observed := make(map[int64]bool, len(log.Fails))
-	for _, f := range log.Fails {
-		observed[failureKey(f)] = true
-	}
-	horizon := int32(-1)
-	if log.Truncated {
-		horizon = log.LastPattern()
-	}
+	observed := d.Observe(log)
 	st := ExtractStats{Extracted: len(cands)}
 	for _, cand := range cands {
-		c := d.score(cand, observed, log.Compacted, horizon)
+		c := d.score(cand, observed)
 		st.AllScores = append(st.AllScores, c.Score)
 	}
 	return st

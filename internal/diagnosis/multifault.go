@@ -3,12 +3,14 @@ package diagnosis
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/failurelog"
 	"repro/internal/faultsim"
 	"repro/internal/netlist"
-	"repro/internal/scan"
+	"repro/internal/obs"
 )
 
 // InjectLog simulates the given fault set as a defective chip and returns
@@ -49,6 +51,7 @@ func (d *Engine) DiagnoseMultiCtx(ctx context.Context, log *failurelog.Log) (*Re
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("diagnosis: multi: %w", err)
 	}
+	span := obs.Start(ctx, "diagnosis.extract")
 	count, responses := d.suspects(log)
 
 	// Multi-fault extraction: a defect only needs to explain a fraction of
@@ -75,39 +78,52 @@ func (d *Engine) DiagnoseMultiCtx(ctx context.Context, log *failurelog.Log) (*Re
 		}
 		need = 1
 	}
+	span.End()
+	obs.Add(ctx, "m3d_diag_candidates_extracted_total", int64(len(cands)))
 
-	observed := make(map[int64]bool, len(log.Fails))
-	for _, f := range log.Fails {
-		observed[failureKey(f)] = true
-	}
-	// Score all candidates and keep their predicted-failure sets for the
-	// cover pass.
+	// Score all candidates and keep their predicted failure masks for the
+	// cover pass. Multi-fault scoring ignores truncation: every applied
+	// pattern is evidence.
+	span = obs.Start(ctx, "diagnosis.score")
+	observed := d.observe(log, -1)
+	words := observed.words
 	type scoredCand struct {
 		Candidate
-		pred []scan.Failure
+		obs  []int32  // observation points with predicted failures
+		pred []uint64 // their masks, words each, cut after the last pattern
 	}
 	scored := make([]scoredCand, 0, len(cands))
 	for _, cand := range cands {
 		if err := ctx.Err(); err != nil {
+			span.End()
 			return nil, fmt.Errorf("diagnosis: multi: %w", err)
 		}
-		diff := d.fsim.Diff(d.res, []faultsim.Fault{cand})
-		pred := d.arch.FailuresFromDiffUnsorted(diff, d.ps.N, log.Compacted)
+		rows := d.predict(cand, log.Compacted)
 		c := Candidate{Fault: cand}
-		for _, p := range pred {
-			if observed[failureKey(p)] {
-				c.TFSF++
-			} else {
-				c.TPSF++
-			}
-		}
-		c.TFSP = len(observed) - c.TFSF
+		c.TFSF, c.TPSF = observed.count(rows)
+		c.TFSP = observed.total - c.TFSF
 		c.Score = float64(c.TFSF) - d.opt.TPSFWeight*float64(c.TPSF)
 		if c.TFSF == 0 {
 			continue
 		}
-		scored = append(scored, scoredCand{Candidate: c, pred: pred})
+		sc := scoredCand{
+			Candidate: c,
+			obs:       make([]int32, 0, len(rows)),
+			pred:      make([]uint64, 0, len(rows)*words),
+		}
+		for _, r := range rows {
+			sc.obs = append(sc.obs, int32(r.obs))
+			for w, m := range r.mask {
+				sc.pred = append(sc.pred, m&observed.horizon[w])
+			}
+		}
+		scored = append(scored, sc)
 	}
+	span.End()
+	obs.Add(ctx, "m3d_diag_candidates_scored_total", int64(len(cands)))
+
+	span = obs.Start(ctx, "diagnosis.cover")
+	defer span.End()
 	sort.Slice(scored, func(i, j int) bool {
 		if scored[i].Score != scored[j].Score {
 			return scored[i].Score > scored[j].Score
@@ -116,28 +132,35 @@ func (d *Engine) DiagnoseMultiCtx(ctx context.Context, log *failurelog.Log) (*Re
 	})
 
 	// Greedy cover: repeatedly take the candidate explaining the most
-	// still-uncovered failures.
-	uncovered := make(map[int64]bool, len(observed))
-	for k := range observed {
-		uncovered[k] = true
-	}
+	// still-uncovered failures (the first one on ties). Gains only shrink
+	// as failures get covered, so a candidate's last computed gain bounds
+	// its current one: a candidate whose bound cannot strictly beat the
+	// round's best so far is skipped without changing the pick.
+	uncovered := append([]uint64(nil), observed.mask...)
+	left := observed.total
 	chosen := make([]bool, len(scored))
+	bound := make([]int, len(scored))
+	for i := range bound {
+		bound[i] = math.MaxInt
+	}
 	var picks []int
-	for len(uncovered) > 0 && len(picks) < 8 {
+	for left > 0 && len(picks) < 8 {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("diagnosis: multi: %w", err)
 		}
 		bestIdx, bestGain := -1, 0
 		for i := range scored {
-			if chosen[i] {
+			if chosen[i] || bound[i] <= bestGain {
 				continue
 			}
 			gain := 0
-			for _, p := range scored[i].pred {
-				if uncovered[failureKey(p)] {
-					gain++
+			for k, o := range scored[i].obs {
+				row := uncovered[int(o)*words : (int(o)+1)*words]
+				for w, m := range scored[i].pred[k*words : (k+1)*words] {
+					gain += bits.OnesCount64(m & row[w])
 				}
 			}
+			bound[i] = gain
 			if gain > bestGain {
 				bestGain, bestIdx = gain, i
 			}
@@ -147,9 +170,14 @@ func (d *Engine) DiagnoseMultiCtx(ctx context.Context, log *failurelog.Log) (*Re
 		}
 		chosen[bestIdx] = true
 		picks = append(picks, bestIdx)
-		for _, p := range scored[bestIdx].pred {
-			delete(uncovered, failureKey(p))
+		best := &scored[bestIdx]
+		for k, o := range best.obs {
+			row := uncovered[int(o)*words : (int(o)+1)*words]
+			for w, m := range best.pred[k*words : (k+1)*words] {
+				row[w] &^= m
+			}
 		}
+		left -= bestGain
 	}
 	for _, i := range picks {
 		rep.Candidates = append(rep.Candidates, scored[i].Candidate)

@@ -29,39 +29,7 @@ func slowDetects(e *Engine, res *sim.Result, f Fault) bool {
 // sequential circuits.
 func TestDetectsFastMatchesDiff(t *testing.T) {
 	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := netlist.New("rand")
-		var pool []int
-		for i := 0; i < 3; i++ {
-			pool = append(pool, n.AddGate("", netlist.Input))
-		}
-		var ffs []int
-		for i := 0; i < 5; i++ {
-			id := n.AddGate("", netlist.DFF)
-			ffs = append(ffs, id)
-			pool = append(pool, id)
-		}
-		types := []netlist.GateType{
-			netlist.And, netlist.Or, netlist.Nand, netlist.Nor,
-			netlist.Xor, netlist.Xnor, netlist.Not, netlist.Buf, netlist.Mux,
-		}
-		for i := 0; i < 60; i++ {
-			gt := types[rng.Intn(len(types))]
-			var fi []int
-			switch gt {
-			case netlist.Not, netlist.Buf:
-				fi = []int{pool[rng.Intn(len(pool))]}
-			case netlist.Mux:
-				fi = []int{pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]}
-			default:
-				fi = []int{pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]}
-			}
-			pool = append(pool, n.AddGate("", gt, fi...))
-		}
-		for _, ff := range ffs {
-			n.Connect(ff, pool[rng.Intn(len(pool)-8)+8])
-		}
-		n.AddGate("", netlist.Output, pool[len(pool)-1])
+		n := randomSeqCircuit(seed)
 		s, err := sim.New(n)
 		if err != nil {
 			return false
@@ -82,6 +50,45 @@ func TestDetectsFastMatchesDiff(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// randomSeqCircuit builds a random sequential circuit: 3 PIs, 5 flops,
+// 60 mixed gates, flops fed from deep in the logic, one PO.
+func randomSeqCircuit(seed int64) *netlist.Netlist {
+	rng := rand.New(rand.NewSource(seed))
+	n := netlist.New("rand")
+	var pool []int
+	for i := 0; i < 3; i++ {
+		pool = append(pool, n.AddGate("", netlist.Input))
+	}
+	var ffs []int
+	for i := 0; i < 5; i++ {
+		id := n.AddGate("", netlist.DFF)
+		ffs = append(ffs, id)
+		pool = append(pool, id)
+	}
+	types := []netlist.GateType{
+		netlist.And, netlist.Or, netlist.Nand, netlist.Nor,
+		netlist.Xor, netlist.Xnor, netlist.Not, netlist.Buf, netlist.Mux,
+	}
+	for i := 0; i < 60; i++ {
+		gt := types[rng.Intn(len(types))]
+		var fi []int
+		switch gt {
+		case netlist.Not, netlist.Buf:
+			fi = []int{pool[rng.Intn(len(pool))]}
+		case netlist.Mux:
+			fi = []int{pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]}
+		default:
+			fi = []int{pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]}
+		}
+		pool = append(pool, n.AddGate("", gt, fi...))
+	}
+	for _, ff := range ffs {
+		n.Connect(ff, pool[rng.Intn(len(pool)-8)+8])
+	}
+	n.AddGate("", netlist.Output, pool[len(pool)-1])
+	return n
 }
 
 func TestDetectsFastPartialWord(t *testing.T) {

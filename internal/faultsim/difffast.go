@@ -16,6 +16,10 @@ type diffState struct {
 	queue  *levelQueue
 	capts  []int32 // changed capture gates collected during propagation
 	isCapt []bool
+	out    []uint64  // words: gate evaluation result
+	pert   []uint64  // words: perturbed input of an input-pin fault
+	obs    []uint64  // one words-long mask slot per PO, then per flop
+	diffs  []ObsDiff // DiffObs result, aliasing obs
 }
 
 func (e *Engine) initDiff(words int) {
@@ -26,6 +30,10 @@ func (e *Engine) initDiff(words int) {
 		vstamp: make([]int32, len(n.Gates)),
 		pstamp: make([]int32, len(n.Gates)),
 		isCapt: make([]bool, len(n.Gates)),
+		out:    make([]uint64, words),
+		pert:   make([]uint64, words),
+		obs:    make([]uint64, (len(n.POs)+len(n.FFs))*words),
+		diffs:  make([]ObsDiff, 0, len(n.POs)+len(n.FFs)),
 	}
 	for i := range ds.vstamp {
 		ds.vstamp[i] = -1
@@ -41,10 +49,21 @@ func (e *Engine) initDiff(words int) {
 	e.dfs = ds
 }
 
-// diffFast computes the observation-gate difference map for one fault,
-// equivalent to the generic Diff path but allocation-free in the
-// propagation loop.
-func (e *Engine) diffFast(res *sim.Result, f Fault) map[int][]uint64 {
+// ObsDiff is one observation gate's good-vs-faulty capture difference.
+type ObsDiff struct {
+	// Gate is the PO or flop gate ID.
+	Gate int
+	// Mask is the bit-parallel difference, one bit per pattern. Bits past
+	// the last pattern of the final word are not cleared.
+	Mask []uint64
+}
+
+// DiffObs simulates one fault and returns the nonzero observation-gate
+// differences, POs first and then flops, each in netlist order. It is the
+// single-fault equivalent of Diff and allocates nothing once the engine's
+// scratch is sized: the returned slice and every Mask alias that scratch
+// and stay valid only until the engine's next simulation.
+func (e *Engine) DiffObs(res *sim.Result, f Fault) []ObsDiff {
 	words := len(res.V2[0])
 	if e.dfs == nil || e.dfs.words != words {
 		e.initDiff(words)
@@ -79,7 +98,7 @@ func (e *Engine) diffFast(res *sim.Result, f Fault) map[int][]uint64 {
 		ds.pstamp[seed] = st
 	}
 
-	out := make([]uint64, words)
+	out := ds.out
 	for !ds.queue.empty() {
 		id := int(ds.queue.popMin())
 		g := n.Gates[id]
@@ -99,7 +118,7 @@ func (e *Engine) diffFast(res *sim.Result, f Fault) map[int][]uint64 {
 			if id == f.Gate && f.Pin != OutputPin {
 				src := g.Fanin[f.Pin]
 				sv := faulty(src)
-				pert := make([]uint64, words)
+				pert := ds.pert
 				for w := 0; w < words; w++ {
 					pert[w] = applyTDF(f.Pol, res.V1[src][w], sv[w])
 				}
@@ -141,42 +160,46 @@ func (e *Engine) diffFast(res *sim.Result, f Fault) map[int][]uint64 {
 
 	// Fold changed capture sources into observation diffs, applying any
 	// observation-local input-pin fault.
-	obsDiff := make(map[int][]uint64)
-	record := func(obsGate, captureSrc int) {
-		captured := good(captureSrc)
-		if ds.vstamp[captureSrc] == st {
-			captured = ds.fval[captureSrc*words : (captureSrc+1)*words]
-		}
-		var local []uint64
-		if f.Pin != OutputPin && f.Gate == obsGate {
-			local = make([]uint64, words)
-			for w := 0; w < words; w++ {
-				local[w] = applyTDF(f.Pol, res.V1[captureSrc][w], captured[w])
-			}
-			captured = local
-		}
+	ds.diffs = ds.diffs[:0]
+	record := func(slot, obsGate, captureSrc int) {
 		gv := good(captureSrc)
-		d := make([]uint64, words)
+		captured := faulty(captureSrc)
+		d := ds.obs[slot*words : (slot+1)*words]
+		local := f.Pin != OutputPin && f.Gate == obsGate
 		any := uint64(0)
 		for w := 0; w < words; w++ {
-			d[w] = captured[w] ^ gv[w]
+			c := captured[w]
+			if local {
+				c = applyTDF(f.Pol, res.V1[captureSrc][w], c)
+			}
+			d[w] = c ^ gv[w]
 			any |= d[w]
 		}
 		if any != 0 {
-			obsDiff[obsGate] = d
+			ds.diffs = append(ds.diffs, ObsDiff{Gate: obsGate, Mask: d})
 		}
 	}
-	for _, po := range n.POs {
+	for i, po := range n.POs {
 		src := n.Gates[po].Fanin[0]
 		if ds.vstamp[src] == st || (f.Pin != OutputPin && f.Gate == po) {
-			record(po, src)
+			record(i, po, src)
 		}
 	}
-	for _, ff := range n.FFs {
+	for i, ff := range n.FFs {
 		src := n.Gates[ff].Fanin[0]
 		if ds.vstamp[src] == st || (f.Pin != OutputPin && f.Gate == ff) {
-			record(ff, src)
+			record(len(n.POs)+i, ff, src)
 		}
+	}
+	return ds.diffs
+}
+
+// diffFast is Diff for one fault: DiffObs copied out into a map.
+func (e *Engine) diffFast(res *sim.Result, f Fault) map[int][]uint64 {
+	diffs := e.DiffObs(res, f)
+	obsDiff := make(map[int][]uint64, len(diffs))
+	for _, od := range diffs {
+		obsDiff[od.Gate] = append([]uint64(nil), od.Mask...)
 	}
 	return obsDiff
 }

@@ -366,18 +366,19 @@ func evalWithInputs(g *netlist.Gate, in map[int][]uint64, words int) []uint64 {
 // Detects reports whether the fault is detected by any pattern in the
 // result (bypass observation, no compaction aliasing). For single-word
 // results (at most 64 patterns) an allocation-free event-driven path is
-// used; larger results fall back to the full Diff computation.
+// used; larger results check the full DiffObs difference, reading bits
+// past the last pattern through the tail mask.
 func (e *Engine) Detects(res *sim.Result, f Fault) bool {
 	if len(res.V2) > 0 && len(res.V2[0]) == 1 {
 		return e.detectsFast(res, f)
 	}
-	d := e.Diff(res, []Fault{f})
-	for _, mask := range d {
-		if len(mask) == 0 {
-			continue
+	tail := sim.TailMask(res.N)
+	for _, od := range e.DiffObs(res, f) {
+		last := len(od.Mask) - 1
+		if od.Mask[last]&tail != 0 {
+			return true
 		}
-		mask[len(mask)-1] &= sim.TailMask(res.N)
-		for _, w := range mask {
+		for _, w := range od.Mask[:last] {
 			if w != 0 {
 				return true
 			}

@@ -35,6 +35,9 @@ type Arch struct {
 
 	chainOf []int32 // by FF index in n.FFs
 	posOf   []int32
+	// obsOf is the uncompacted observation index per gate ID: PO gates
+	// map to their PO index, flops to numPOs + flop index, others to -1.
+	obsOf []int32
 }
 
 // Build stitches the netlist's flops into the given number of chains with
@@ -70,6 +73,16 @@ func Build(n *netlist.Netlist, chains, ratio int) (*Arch, error) {
 		}
 	}
 	a.Channels = (chains + ratio - 1) / ratio
+	a.obsOf = make([]int32, len(n.Gates))
+	for i := range a.obsOf {
+		a.obsOf[i] = -1
+	}
+	for i, po := range n.POs {
+		a.obsOf[po] = int32(a.ObsOfPO(i))
+	}
+	for i, ff := range n.FFs {
+		a.obsOf[ff] = int32(a.ObsOfFF(i, false))
+	}
 	return a, nil
 }
 
@@ -109,6 +122,16 @@ func (a *Arch) ObsOfFF(ffIdx int, compacted bool) int {
 // ObsOfPO returns the observation index of the i-th primary output.
 func (a *Arch) ObsOfPO(poIdx int) int { return poIdx }
 
+// ObsOfGate returns the observation index that exposes an observation
+// gate (a PO or flop gate ID) in the given mode, or -1 for any other gate.
+func (a *Arch) ObsOfGate(gate int, compacted bool) int {
+	o := int(a.obsOf[gate])
+	if !compacted || o < len(a.n.POs) {
+		return o
+	}
+	return a.ObsOfFF(o-len(a.n.POs), true)
+}
+
 // ObsGates returns the gate IDs whose captured values feed observation obs:
 // a single PO gate, a single flop (uncompacted), or every flop XOR-ed into
 // a compacted channel position. These are the paper's Topnode anchors for
@@ -145,25 +168,12 @@ type Failure struct {
 }
 
 // FailuresFromDiff folds gate-level response differences into failing
-// observations. diff maps an observation gate (PO or FF gate ID) to its
-// bit-parallel good-vs-faulty V2 difference at the capture point; absent
-// gates are identical. In compacted mode an even number of flipped cells in
-// the same channel position aliases to a passing response, exactly like a
-// real XOR compactor.
+// observations, sorted by (pattern, observation). diff maps an observation
+// gate (PO or FF gate ID) to its bit-parallel good-vs-faulty V2 difference
+// at the capture point; absent gates are identical. In compacted mode an
+// even number of flipped cells in the same channel position aliases to a
+// passing response, exactly like a real XOR compactor.
 func (a *Arch) FailuresFromDiff(diff map[int][]uint64, patterns int, compacted bool) []Failure {
-	fails := a.failuresFromDiff(diff, patterns, compacted)
-	sortFailures(fails)
-	return fails
-}
-
-// FailuresFromDiffUnsorted is FailuresFromDiff without the final ordering
-// pass — candidate scoring only needs set membership, and predicted
-// failure lists can be very large.
-func (a *Arch) FailuresFromDiffUnsorted(diff map[int][]uint64, patterns int, compacted bool) []Failure {
-	return a.failuresFromDiff(diff, patterns, compacted)
-}
-
-func (a *Arch) failuresFromDiff(diff map[int][]uint64, patterns int, compacted bool) []Failure {
 	words := (patterns + 63) / 64
 	tail := sim.TailMask(patterns)
 	var fails []Failure
@@ -192,6 +202,7 @@ func (a *Arch) failuresFromDiff(diff map[int][]uint64, patterns int, compacted b
 				emit(a.ObsOfFF(i, false), d)
 			}
 		}
+		sortFailures(fails)
 		return fails
 	}
 	// Compacted: XOR cell diffs per (channel, position).
@@ -214,6 +225,7 @@ func (a *Arch) failuresFromDiff(diff map[int][]uint64, patterns int, compacted b
 	for obs, m := range acc {
 		emit(obs, m)
 	}
+	sortFailures(fails)
 	return fails
 }
 

@@ -110,6 +110,28 @@ func TestObsIndexing(t *testing.T) {
 	}
 }
 
+func TestObsOfGate(t *testing.T) {
+	n := design(t, 2, 10)
+	a, _ := Build(n, 3, 2)
+	for _, compacted := range []bool{false, true} {
+		for i, po := range n.POs {
+			if got := a.ObsOfGate(po, compacted); got != a.ObsOfPO(i) {
+				t.Fatalf("compacted=%v PO %d: ObsOfGate = %d, want %d", compacted, i, got, a.ObsOfPO(i))
+			}
+		}
+		for i, ff := range n.FFs {
+			if got := a.ObsOfGate(ff, compacted); got != a.ObsOfFF(i, compacted) {
+				t.Fatalf("compacted=%v flop %d: ObsOfGate = %d, want %d", compacted, i, got, a.ObsOfFF(i, compacted))
+			}
+		}
+		for _, g := range []int{n.GateByName("a"), n.GateByName("inv")} {
+			if got := a.ObsOfGate(g, compacted); got != -1 {
+				t.Fatalf("compacted=%v gate %d is no observation, got %d", compacted, g, got)
+			}
+		}
+	}
+}
+
 func TestFailuresFromDiffUncompacted(t *testing.T) {
 	n := design(t, 2, 10)
 	a, _ := Build(n, 3, 2)

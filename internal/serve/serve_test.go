@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -846,5 +847,74 @@ func TestClientConcurrentUse(t *testing.T) {
 	c.Close() // idempotent, and the client stays usable afterwards
 	if _, err := c.Diagnose(context.Background(), fx.light, DiagnoseOptions{}); err != nil {
 		t.Fatalf("diagnose after Close: %v", err)
+	}
+}
+
+// TestConcurrentDiagnoseMatchesSerial is the engine-ownership contract:
+// concurrent /diagnose and /diagnose?multi=1 requests against one server
+// must return exactly the responses a serial caller gets (each request
+// diagnoses on its own forked engine, so no scoring scratch is shared).
+func TestConcurrentDiagnoseMatchesSerial(t *testing.T) {
+	fx := getFixture(t)
+	_, _, c := newTestServer(t, fx, Config{MaxConcurrent: 4})
+	edt := fx.bundle.Generate(dataset.SampleOptions{Count: 1, Seed: 6, Compacted: true})
+	if len(edt) == 0 {
+		t.Fatal("no compacted sample generated")
+	}
+	type call struct {
+		log   *failurelog.Log
+		multi bool
+	}
+	calls := []call{{fx.light, false}, {fx.light, true}, {fx.heavy, true}, {edt[0].Log, false}, {edt[0].Log, true}}
+	ctx := context.Background()
+	diagnose := func(k call) (*DiagnoseResponse, error) {
+		resp, err := c.Diagnose(ctx, k.log, DiagnoseOptions{Multi: k.multi})
+		if err != nil {
+			return nil, err
+		}
+		resp.ElapsedMS = 0
+		return resp, nil
+	}
+	serial := make([]*DiagnoseResponse, len(calls))
+	for i, k := range calls {
+		resp, err := diagnose(k)
+		if err != nil {
+			t.Fatalf("serial call %d: %v", i, err)
+		}
+		serial[i] = resp
+	}
+
+	const callers = 3
+	got := make([][]*DiagnoseResponse, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = make([]*DiagnoseResponse, len(calls))
+			// Each caller walks the calls from a different offset so
+			// different requests overlap.
+			for j := range calls {
+				i := (j + g) % len(calls)
+				resp, err := diagnose(calls[i])
+				if err != nil {
+					errs[g] = fmt.Errorf("call %d: %w", i, err)
+					return
+				}
+				got[g][i] = resp
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 0; g < callers; g++ {
+		if errs[g] != nil {
+			t.Fatalf("caller %d: %v", g, errs[g])
+		}
+		for i := range calls {
+			if !reflect.DeepEqual(got[g][i], serial[i]) {
+				t.Fatalf("caller %d call %d (multi=%v): concurrent response differs from serial", g, i, calls[i].multi)
+			}
+		}
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -181,6 +182,10 @@ type Server struct {
 	cfg    Config
 	bundle *dataset.Bundle
 	fw     atomic.Pointer[core.Framework]
+	// forks hands every in-flight diagnosis its own Bundle.Fork: a
+	// diagnosis engine carries mutable scoring scratch and must not be
+	// shared between concurrent requests.
+	forks sync.Pool
 
 	// observer, when set, sees every successful single-fault diagnosis
 	// (shadow A/B evaluation during fine-tuning).
@@ -235,6 +240,7 @@ func New(b *dataset.Bundle, fw *core.Framework, cfg Config) *Server {
 	if fw != nil {
 		s.fw.Store(fw)
 	}
+	s.forks.New = func() any { return b.Fork() }
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
@@ -610,14 +616,16 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	b := s.forks.Get().(*dataset.Bundle)
+	defer s.forks.Put(b)
 	start := time.Now()
 	var rep *diagnosis.Report
 	var sg *hgraph.Subgraph
 	var out *policy.Outcome
 	if r.URL.Query().Get("multi") == "1" || r.URL.Query().Get("multi") == "true" {
-		rep, out, err = fw.DiagnoseMultiCtx(ctx, s.bundle, log)
+		rep, out, err = fw.DiagnoseMultiCtx(ctx, b, log)
 	} else {
-		rep, sg, out, err = fw.DiagnoseFullCtx(ctx, s.bundle, log)
+		rep, sg, out, err = fw.DiagnoseFullCtx(ctx, b, log)
 	}
 	if err != nil {
 		switch {

@@ -193,9 +193,7 @@ func NewLocalDiagnosers(fw *core.Framework, b *dataset.Bundle, workers int, mult
 		}
 		bw := b
 		if w > 0 {
-			cp := *b
-			cp.Diag = b.Diag.Fork()
-			bw = &cp
+			bw = b.Fork()
 		}
 		out[w] = &LocalDiagnoser{FW: clone, Bundle: bw, Multi: multi}
 	}
