@@ -141,7 +141,8 @@ func main() {
 	// The service already fans out across requests, so when more than one
 	// diagnosis can run at a time the hierarchical engine walks its regions
 	// serially — responses are identical either way and the cores are not
-	// oversubscribed.
+	// oversubscribed. Candidate scoring needs no such setting: it adds
+	// helpers only while a core is idle.
 	if *hierMode || p.TargetGates >= gen.LargeGateThreshold {
 		innerWorkers := 1
 		if *concurrency == 1 {

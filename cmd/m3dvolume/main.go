@@ -130,6 +130,8 @@ func main() {
 	// The campaign already fans out across logs, so when it runs more than
 	// one worker the hierarchical engine walks its regions serially — the
 	// report is identical either way and the cores are not oversubscribed.
+	// Candidate scoring needs no such setting: it adds helpers only while
+	// a core is idle, so a campaign with a worker per core scores serially.
 	if *hierMode || p.TargetGates >= gen.LargeGateThreshold {
 		innerWorkers := 1
 		if nWorkers == 1 {

@@ -27,6 +27,7 @@ import (
 	"repro/internal/gnn"
 	"repro/internal/hgraph"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/policy"
 )
 
@@ -204,8 +205,8 @@ func (fw *Framework) PolicyFor(b *dataset.Bundle) *policy.Policy {
 }
 
 // Diagnose runs the full deployment flow of Fig. 1 for one failure log:
-// ATPG diagnosis and GNN prediction (conceptually in parallel), then the
-// candidate pruning and reordering policy.
+// ATPG diagnosis and the GNN back-trace (in parallel when a core is idle),
+// then the candidate pruning and reordering policy.
 func (fw *Framework) Diagnose(b *dataset.Bundle, log *failurelog.Log) (*diagnosis.Report, *policy.Outcome) {
 	rep, out, _ := fw.DiagnoseCtx(context.Background(), b, log)
 	return rep, out
@@ -227,6 +228,8 @@ func (fw *Framework) DiagnoseCtx(ctx context.Context, b *dataset.Bundle, log *fa
 // so both must escape the call.
 func (fw *Framework) DiagnoseFullCtx(ctx context.Context, b *dataset.Bundle, log *failurelog.Log) (*diagnosis.Report, *hgraph.Subgraph, *policy.Outcome, error) {
 	defer obs.Start(ctx, "core.diagnose").End()
+	ctx, leave := par.Enter(ctx)
+	defer leave()
 	// Paper-scale designs (or bundles with hier forced on) route both heavy
 	// stages through the hierarchical partitioned engine; the results are
 	// bitwise-identical to the monolithic path.
@@ -234,30 +237,18 @@ func (fw *Framework) DiagnoseFullCtx(ctx context.Context, b *dataset.Bundle, log
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("core: hierarchical engine: %w", err)
 	}
-	var rep *diagnosis.Report
-	var sg *hgraph.Subgraph
-	if he != nil {
-		if rep, err = he.DiagnoseCtx(ctx, log); err != nil {
-			return nil, nil, nil, err
-		}
-		if sg, err = he.BacktraceCtx(ctx, log); err != nil {
-			return nil, nil, nil, err
-		}
-	} else {
-		if rep, err = b.Diag.DiagnoseCtx(ctx, log); err != nil {
-			return nil, nil, nil, err
-		}
-		if sg, err = b.Graph.BacktraceCtx(ctx, log, b.Diag.Result()); err != nil {
-			return nil, nil, nil, err
-		}
+	if he == nil {
+		return fw.diagnose(ctx, b, log, b.Diag.DiagnoseCtx)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, fmt.Errorf("core: diagnose: %w", err)
+	rep, err := he.DiagnoseCtx(ctx, log)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	span := obs.Start(ctx, "policy.apply")
-	out := fw.PolicyFor(b).ApplyCtx(ctx, rep, sg)
-	span.End()
-	return rep, sg, out, nil
+	sg, err := he.BacktraceCtx(ctx, log)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return fw.applyPolicy(ctx, b, rep, sg)
 }
 
 // DiagnoseMultiCtx is DiagnoseCtx for failure logs that may contain several
@@ -267,21 +258,77 @@ func (fw *Framework) DiagnoseFullCtx(ctx context.Context, b *dataset.Bundle, log
 // no hierarchical counterpart.
 func (fw *Framework) DiagnoseMultiCtx(ctx context.Context, b *dataset.Bundle, log *failurelog.Log) (*diagnosis.Report, *policy.Outcome, error) {
 	defer obs.Start(ctx, "core.diagnose_multi").End()
-	rep, err := b.Diag.DiagnoseMultiCtx(ctx, log)
-	if err != nil {
-		return nil, nil, err
+	rep, _, out, err := fw.diagnose(ctx, b, log, b.Diag.DiagnoseMultiCtx)
+	return rep, out, err
+}
+
+// BacktraceOverlappedCounter counts diagnoses whose back-trace ran on a
+// second goroutine beside ATPG diagnosis.
+const BacktraceOverlappedCounter = "m3d_core_backtrace_overlapped_total"
+
+// diagnose runs the monolithic deployment flow of Fig. 1: ATPG diagnosis
+// (diag) and the GNN back-trace side by side, then the policy. When a
+// core is idle the back-trace runs on a goroutine of its own while
+// diagnosis runs, is cancelled if diagnosis fails, and is always awaited;
+// otherwise it runs after diagnosis on the caller. Neither stage reads the
+// other's output, so the results are the same either way.
+func (fw *Framework) diagnose(ctx context.Context, b *dataset.Bundle, log *failurelog.Log,
+	diag func(context.Context, *failurelog.Log) (*diagnosis.Report, error)) (*diagnosis.Report, *hgraph.Subgraph, *policy.Outcome, error) {
+	ctx, leave := par.Enter(ctx)
+	defer leave()
+	var rep *diagnosis.Report
+	var sg *hgraph.Subgraph
+	var err error
+	if release, ok := par.TryEnter(); ok {
+		btCtx, cancel := context.WithCancel(ctx)
+		var btErr error
+		var btPanic any
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			defer release()
+			defer func() { btPanic = recover() }()
+			sg, btErr = b.Graph.BacktraceCtx(btCtx, log, b.Diag.Result())
+		}()
+		// Even if diag panics, the back-trace stops and exits first.
+		defer func() {
+			cancel()
+			<-done
+		}()
+		rep, err = diag(ctx, log)
+		if err != nil {
+			cancel()
+		}
+		<-done
+		if btPanic != nil {
+			panic(btPanic)
+		}
+		obs.Add(ctx, BacktraceOverlappedCounter, 1)
+		if err == nil {
+			err = btErr
+		}
+	} else {
+		rep, err = diag(ctx, log)
+		if err == nil {
+			sg, err = b.Graph.BacktraceCtx(ctx, log, b.Diag.Result())
+		}
 	}
-	sg, err := b.Graph.BacktraceCtx(ctx, log, b.Diag.Result())
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
+	return fw.applyPolicy(ctx, b, rep, sg)
+}
+
+// applyPolicy runs the pruning and reordering policy on a diagnosis
+// report and the subgraph back-traced from the same log.
+func (fw *Framework) applyPolicy(ctx context.Context, b *dataset.Bundle, rep *diagnosis.Report, sg *hgraph.Subgraph) (*diagnosis.Report, *hgraph.Subgraph, *policy.Outcome, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("core: diagnose: %w", err)
+		return nil, nil, nil, fmt.Errorf("core: diagnose: %w", err)
 	}
 	span := obs.Start(ctx, "policy.apply")
 	out := fw.PolicyFor(b).ApplyCtx(ctx, rep, sg)
 	span.End()
-	return rep, out, nil
+	return rep, sg, out, nil
 }
 
 // frameworkJSON is the serialized framework.

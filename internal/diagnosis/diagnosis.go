@@ -28,6 +28,7 @@ import (
 	"repro/internal/faultsim"
 	"repro/internal/netlist"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/scan"
 	"repro/internal/sim"
 )
@@ -134,6 +135,9 @@ type Engine struct {
 	opt  Options
 
 	cones *coneStore // capture gate -> fan-in cone gate IDs, shared by forks
+	// forks holds idle forks of this engine family for the goroutines
+	// that help score one log; shared by forks.
+	forks *sync.Pool
 
 	// scr is private candidate-scoring scratch: an Engine is not safe for
 	// concurrent use, so Fork one engine per goroutine.
@@ -167,7 +171,7 @@ func NewEngine(arch *scan.Arch, ps *sim.PatternSet, opt Options) (*Engine, error
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{
+	d := &Engine{
 		sim:   s,
 		fsim:  faultsim.NewEngine(s),
 		arch:  arch,
@@ -175,14 +179,18 @@ func NewEngine(arch *scan.Arch, ps *sim.PatternSet, opt Options) (*Engine, error
 		res:   s.Run(ps),
 		opt:   opt.withDefaults(),
 		cones: &coneStore{m: make(map[int][]int32)},
-	}, nil
+		forks: &sync.Pool{},
+	}
+	d.forks.New = func() any { return d.Fork() }
+	return d, nil
 }
 
 // Fork returns an engine that shares this engine's immutable state (the
-// good-machine simulation, patterns, scan architecture, and cone cache)
-// but carries private fault-simulation and scoring scratch, so forks can
-// inject and diagnose logs concurrently from separate goroutines. Reports
-// produced by a fork are bitwise-identical to the parent's.
+// good-machine simulation, patterns, scan architecture, cone cache and
+// fork pool) but carries private fault-simulation and scoring scratch, so
+// forks can inject and diagnose logs concurrently from separate
+// goroutines. Reports produced by a fork are bitwise-identical to the
+// parent's.
 func (d *Engine) Fork() *Engine {
 	return &Engine{
 		sim:   d.sim,
@@ -192,6 +200,7 @@ func (d *Engine) Fork() *Engine {
 		res:   d.res,
 		opt:   d.opt,
 		cones: d.cones,
+		forks: d.forks,
 	}
 }
 
@@ -390,11 +399,15 @@ func (d *Engine) Diagnose(log *failurelog.Log) *Report {
 // cost), so a diagnosis whose deadline expires returns within one
 // fault-simulation of the cancellation instead of scoring the remaining
 // pool. On cancellation it returns a nil report and the context's error.
+// Scoring spreads over idle cores (see scoreStage); the report does not
+// depend on how many there are.
 func (d *Engine) DiagnoseCtx(ctx context.Context, log *failurelog.Log) (*Report, error) {
-	rep := &Report{Design: log.Design, Compacted: log.Compacted}
+	ctx, leave := par.Enter(ctx)
+	defer leave()
+	orig := log
 	log = d.sanitize(log)
 	if log.Empty() {
-		return rep, nil
+		return newReport(orig), nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("diagnosis: %w", err)
@@ -404,49 +417,115 @@ func (d *Engine) DiagnoseCtx(ctx context.Context, log *failurelog.Log) (*Report,
 	cands := d.extractCandidates(log, count, responses)
 	span.End()
 	obs.Add(ctx, "m3d_diag_candidates_extracted_total", int64(len(cands)))
+	return d.scoreStage(ctx, orig, log, cands)
+}
 
+// newReport is the empty report for a log.
+func newReport(log *failurelog.Log) *Report {
+	return &Report{Design: log.Design, Compacted: log.Compacted}
+}
+
+// scoreStage scores an extracted candidate pool against the sanitized log
+// and builds the report for the original log: score the net-level
+// candidates, rank those that explain a failure, refine the strongest to
+// pin granularity, rank again and apply the inclusion policy. Both scoring
+// passes run on this engine and on pooled forks for the idle cores
+// (par.MapIdleCtx); results are index-ordered and everything after them
+// is serial, so the report is the serial loop's at any load.
+func (d *Engine) scoreStage(ctx context.Context, orig, log *failurelog.Log, cands []faultsim.Fault) (*Report, error) {
 	observed := d.Observe(log)
+	sc := d.scorers()
+	defer sc.release(ctx)
+
 	// Stage 1: score net-level candidates.
-	span = obs.Start(ctx, "diagnosis.score")
-	scored := make([]Candidate, 0, len(cands))
-	for _, cand := range cands {
-		if err := ctx.Err(); err != nil {
-			span.End()
-			return nil, fmt.Errorf("diagnosis: %w", err)
-		}
-		c := d.score(cand, observed)
-		if c.TFSF == 0 {
-			continue
-		}
-		scored = append(scored, c)
-	}
+	span := obs.Start(ctx, "diagnosis.score")
+	all, err := par.MapIdleCtx(ctx, len(sc.engs), len(cands), func(w, i int) Candidate {
+		return sc.engine(w).score(cands[i], observed)
+	})
 	span.End()
+	if err != nil {
+		return nil, fmt.Errorf("diagnosis: %w", err)
+	}
 	obs.Add(ctx, "m3d_diag_candidates_scored_total", int64(len(cands)))
+	scored := make([]Candidate, 0, len(all))
+	for _, c := range all {
+		if c.TFSF > 0 {
+			scored = append(scored, c)
+		}
+	}
 	RankCandidates(scored)
+
 	// Stage 2: refine the strongest net-level candidates to pin
-	// granularity (branch faults dodge reconvergent aliasing).
+	// granularity (branch faults dodge reconvergent aliasing). The
+	// (candidate, branch) pairs are flattened in rank order.
 	span = obs.Start(ctx, "diagnosis.refine")
-	n2 := len(scored)
-	if n2 > RefineTop {
-		n2 = RefineTop
+	var branches []faultsim.Fault
+	for _, c := range scored[:min(len(scored), RefineTop)] {
+		branches = append(branches, d.branchCandidates(c.Fault)...)
 	}
-	for _, c := range scored[:n2] {
-		if err := ctx.Err(); err != nil {
-			span.End()
-			return nil, fmt.Errorf("diagnosis: %w", err)
-		}
-		for _, bc := range d.branchCandidates(c.Fault) {
-			sc := d.score(bc, observed)
-			if sc.TFSF > 0 {
-				scored = append(scored, sc)
-			}
-		}
-	}
+	all, err = par.MapIdleCtx(ctx, len(sc.engs), len(branches), func(w, i int) Candidate {
+		return sc.engine(w).score(branches[i], observed)
+	})
 	span.End()
+	if err != nil {
+		return nil, fmt.Errorf("diagnosis: %w", err)
+	}
+	for _, c := range all {
+		if c.TFSF > 0 {
+			scored = append(scored, c)
+		}
+	}
 	RankCandidates(scored)
+	rep := newReport(orig)
 	d.fillReport(rep, scored)
 	return rep, nil
 }
+
+// scorers is one diagnosis's worker -> engine table for par.MapIdleCtx:
+// worker 0 (the caller) scores on the diagnosing engine, and each helper
+// draws a fork from the family pool the first time its id works.
+type scorers struct {
+	engs  []*Engine
+	forks *sync.Pool
+}
+
+func (d *Engine) scorers() *scorers {
+	sc := &scorers{engs: make([]*Engine, par.Workers(0)), forks: d.forks}
+	sc.engs[0] = d
+	return sc
+}
+
+// engine returns worker w's engine. Worker ids are unique among running
+// goroutines, so no lock is needed.
+func (sc *scorers) engine(w int) *Engine {
+	if sc.engs[w] == nil {
+		sc.engs[w] = sc.forks.Get().(*Engine)
+	}
+	return sc.engs[w]
+}
+
+// release returns the drawn forks to the pool and records how many
+// goroutines scored the diagnosis.
+func (sc *scorers) release(ctx context.Context) {
+	used := 1
+	for _, e := range sc.engs[1:] {
+		if e != nil {
+			sc.forks.Put(e)
+			used++
+		}
+	}
+	if reg := obs.RegistryFrom(ctx); reg != nil {
+		reg.Histogram(ScoreWorkersHistogram, workerBuckets).Observe(float64(used))
+	}
+}
+
+// ScoreWorkersHistogram is the histogram of the goroutines that scored
+// each diagnosis's candidates; with it, a latency change can be told apart
+// from a change in load.
+const ScoreWorkersHistogram = "m3d_diag_score_workers"
+
+// workerBuckets bound the ScoreWorkersHistogram.
+var workerBuckets = []float64{1, 2, 3, 4, 6, 8, 16, 32, 64}
 
 // RefineTop is how many of the strongest net-level candidates stage 2
 // expands to pin-granularity branch faults.

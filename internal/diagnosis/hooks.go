@@ -1,15 +1,18 @@
 package diagnosis
 
 import (
+	"context"
+
 	"repro/internal/failurelog"
 	"repro/internal/faultsim"
+	"repro/internal/par"
 	"repro/internal/scan"
 )
 
 // This file exposes the individual stages of DiagnoseCtx to the
 // hierarchical diagnosis engine (internal/hier), which re-implements only
-// the suspect-vote computation (region-partitioned, parallel) and must
-// reuse every other stage verbatim so that its reports stay
+// the suspect-vote computation (region-partitioned, parallel) and reuses
+// every other stage verbatim so that its reports stay
 // bitwise-identical to the monolithic path. Each hook is a thin wrapper
 // over the unexported implementation that DiagnoseCtx itself calls.
 
@@ -34,20 +37,17 @@ func (d *Engine) ScoreCandidate(cand faultsim.Fault, observed *Observed) Candida
 	return d.score(cand, observed)
 }
 
-// BranchExpansions expands a net-level candidate into its per-branch
-// input-pin faults (see branchCandidates). Pure: depends only on the
-// netlist structure.
-func (d *Engine) BranchExpansions(c faultsim.Fault) []faultsim.Fault {
-	return d.branchCandidates(c)
-}
-
-// AssembleReport applies the inclusion policy to an already-ranked
-// candidate list and returns the final report, identical to the tail of
-// DiagnoseCtx.
-func (d *Engine) AssembleReport(log *failurelog.Log, scored []Candidate) *Report {
-	rep := &Report{Design: log.Design, Compacted: log.Compacted}
-	d.fillReport(rep, scored)
-	return rep
+// DiagnoseCandidates scores an extracted candidate pool against a
+// sanitized log and returns the report for the original log, exactly as
+// the tail of DiagnoseCtx does. Unlike the engine's other methods it is
+// safe for concurrent use: each call scores on forks drawn from the
+// engine family's pool.
+func (d *Engine) DiagnoseCandidates(ctx context.Context, orig, log *failurelog.Log, cands []faultsim.Fault) (*Report, error) {
+	ctx, leave := par.Enter(ctx)
+	defer leave()
+	f := d.forks.Get().(*Engine)
+	defer d.forks.Put(f)
+	return f.scoreStage(ctx, orig, log, cands)
 }
 
 // CaptureGates returns the deduplicated capture gates behind one failing

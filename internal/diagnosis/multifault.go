@@ -11,6 +11,7 @@ import (
 	"repro/internal/faultsim"
 	"repro/internal/netlist"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // InjectLog simulates the given fault set as a defective chip and returns
@@ -41,9 +42,12 @@ func (d *Engine) DiagnoseMulti(log *failurelog.Log) *Report {
 // context is checked before each candidate fault simulation and each greedy
 // cover round, so an expired deadline stops the (much larger) multi-fault
 // candidate sweep promptly. On cancellation it returns a nil report and the
-// context's error.
+// context's error. Candidate scoring spreads over idle cores like
+// DiagnoseCtx's; the greedy cover is serial.
 func (d *Engine) DiagnoseMultiCtx(ctx context.Context, log *failurelog.Log) (*Report, error) {
-	rep := &Report{Design: log.Design, Compacted: log.Compacted}
+	ctx, leave := par.Enter(ctx)
+	defer leave()
+	rep := newReport(log)
 	log = d.sanitize(log)
 	if log.Empty() {
 		return rep, nil
@@ -81,9 +85,9 @@ func (d *Engine) DiagnoseMultiCtx(ctx context.Context, log *failurelog.Log) (*Re
 	span.End()
 	obs.Add(ctx, "m3d_diag_candidates_extracted_total", int64(len(cands)))
 
-	// Score all candidates and keep their predicted failure masks for the
-	// cover pass. Multi-fault scoring ignores truncation: every applied
-	// pattern is evidence.
+	// Score all candidates, on idle cores too, and keep their predicted
+	// failure masks for the cover pass. Multi-fault scoring ignores
+	// truncation: every applied pattern is evidence.
 	span = obs.Start(ctx, "diagnosis.score")
 	observed := d.observe(log, -1)
 	words := observed.words
@@ -92,34 +96,41 @@ func (d *Engine) DiagnoseMultiCtx(ctx context.Context, log *failurelog.Log) (*Re
 		obs  []int32  // observation points with predicted failures
 		pred []uint64 // their masks, words each, cut after the last pattern
 	}
-	scored := make([]scoredCand, 0, len(cands))
-	for _, cand := range cands {
-		if err := ctx.Err(); err != nil {
-			span.End()
-			return nil, fmt.Errorf("diagnosis: multi: %w", err)
-		}
-		rows := d.predict(cand, log.Compacted)
-		c := Candidate{Fault: cand}
+	sc := d.scorers()
+	all, err := par.MapIdleCtx(ctx, len(sc.engs), len(cands), func(w, i int) scoredCand {
+		// rows alias worker w's scratch: copy them before its next predict.
+		rows := sc.engine(w).predict(cands[i], log.Compacted)
+		c := Candidate{Fault: cands[i]}
 		c.TFSF, c.TPSF = observed.count(rows)
 		c.TFSP = observed.total - c.TFSF
 		c.Score = float64(c.TFSF) - d.opt.TPSFWeight*float64(c.TPSF)
 		if c.TFSF == 0 {
-			continue
+			return scoredCand{Candidate: c}
 		}
-		sc := scoredCand{
+		out := scoredCand{
 			Candidate: c,
 			obs:       make([]int32, 0, len(rows)),
 			pred:      make([]uint64, 0, len(rows)*words),
 		}
 		for _, r := range rows {
-			sc.obs = append(sc.obs, int32(r.obs))
-			for w, m := range r.mask {
-				sc.pred = append(sc.pred, m&observed.horizon[w])
+			out.obs = append(out.obs, int32(r.obs))
+			for k, m := range r.mask {
+				out.pred = append(out.pred, m&observed.horizon[k])
 			}
 		}
-		scored = append(scored, sc)
-	}
+		return out
+	})
+	sc.release(ctx)
 	span.End()
+	if err != nil {
+		return nil, fmt.Errorf("diagnosis: multi: %w", err)
+	}
+	scored := make([]scoredCand, 0, len(all))
+	for _, c := range all {
+		if c.TFSF > 0 {
+			scored = append(scored, c)
+		}
+	}
 	obs.Add(ctx, "m3d_diag_candidates_scored_total", int64(len(cands)))
 
 	span = obs.Start(ctx, "diagnosis.cover")

@@ -1,8 +1,11 @@
 package diagnosis_test
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -133,28 +136,59 @@ func oracleDiagnoseMulti(d *diagnosis.Engine, log *failurelog.Log) *diagnosis.Re
 
 // TestDiagnoseMultiMatchesOracle checks the bitmask set cover against the
 // map-based reference on Table X's multi-fault logs (2-5 same-tier
-// faults on the Syn-2 configuration), compacted and uncompacted.
+// faults on the Syn-2 configuration), compacted, uncompacted and
+// truncated. Reports must match with the idle cores helping one caller
+// score, and with more concurrent callers than cores.
 func TestDiagnoseMultiMatchesOracle(t *testing.T) {
 	p, _ := gen.ProfileByName("aes")
 	b, err := dataset.Build(p.Scaled(0.15), dataset.Syn2, dataset.BuildOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var logs []*failurelog.Log
 	for _, compacted := range []bool{false, true} {
 		samples := b.Generate(dataset.SampleOptions{Count: 6, Seed: 302, MultiFault: true, Compacted: compacted})
 		if len(samples) == 0 {
 			t.Fatal("no multi-fault samples generated")
 		}
-		for i, s := range samples {
-			got := b.Diag.DiagnoseMulti(s.Log)
-			want := oracleDiagnoseMulti(b.Diag, s.Log)
-			if len(want.Candidates) == 0 {
-				t.Fatalf("compacted=%v sample %d: empty reference report", compacted, i)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("compacted=%v sample %d: bitmask report differs from the map-based reference\n got %+v\nwant %+v",
-					compacted, i, got.Candidates, want.Candidates)
-			}
+		for _, s := range samples {
+			logs = append(logs, s.Log)
 		}
+		trunc := *samples[0].Log
+		trunc.Fails = trunc.Fails[:(len(trunc.Fails)+1)/2]
+		trunc.Truncated = true
+		logs = append(logs, &trunc)
+	}
+	want := make([]*diagnosis.Report, len(logs))
+	for i, log := range logs {
+		want[i] = oracleDiagnoseMulti(b.Diag, log)
+		if len(want[i].Candidates) == 0 {
+			t.Fatalf("log %d: empty reference report", i)
+		}
+		if got := b.Diag.DiagnoseMulti(log); !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("log %d (compacted=%v truncated=%v): bitmask report differs from the map-based reference\n got %+v\nwant %+v",
+				i, log.Compacted, log.Truncated, got.Candidates, want[i].Candidates)
+		}
+	}
+	callers := runtime.GOMAXPROCS(0) + 2
+	errs := make(chan error, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		eng := b.Diag.Fork()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := c; i < len(logs); i += callers {
+				if got := eng.DiagnoseMulti(logs[i]); !reflect.DeepEqual(got, want[i]) {
+					errs <- fmt.Errorf("log %d, saturated: report differs from the reference", i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

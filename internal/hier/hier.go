@@ -12,8 +12,8 @@
 //     parallel, and edges that cross a region boundary are handed off to
 //     the owning region as the next round's frontier — the cut-edge
 //     re-growth that re-admits candidate fault sites whose cones span
-//     regions. Candidate scoring then fan-outs over forked diagnosis
-//     engines.
+//     regions. Candidate scoring is the monolithic engine's shared stage,
+//     which spreads over idle cores on forked diagnosis engines.
 //   - Back-tracing runs the same region frontier walk over the pin-level
 //     heterogeneous graph, then extracts one global subgraph for a single
 //     scoring pass through the flat-CSR GNN stack.
@@ -27,8 +27,7 @@
 // What changes is the resource profile: the monolithic engine memoizes
 // whole observation cones per capture point (quadratic-ish memory at
 // 300K gates), while the hierarchical engine recomputes region-local
-// BFS frontiers with O(nodes) scratch, and parallelizes the walk and the
-// scoring.
+// BFS frontiers with O(nodes) scratch, and parallelizes the walk.
 package hier
 
 import (
@@ -39,7 +38,6 @@ import (
 
 	"repro/internal/diagnosis"
 	"repro/internal/failurelog"
-	"repro/internal/faultsim"
 	"repro/internal/hgraph"
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -61,8 +59,10 @@ type Options struct {
 	Regions int
 	// TargetRegionGates sizes auto region selection. Default 24000.
 	TargetRegionGates int
-	// Workers bounds per-log parallelism: region walks and candidate
-	// scoring (0 = all cores). Reports are identical for any value.
+	// Workers bounds the region walks and the partitioning (0 = all
+	// cores). Candidate scoring is not bounded by it: the shared scoring
+	// stage sizes itself by the idle cores (par.MapIdleCtx). Reports are
+	// identical for any value.
 	Workers int
 	// Partition tunes the region partitioner.
 	Partition partition.RegionOptions
@@ -107,8 +107,8 @@ type Stats struct {
 // Engine is a hierarchical diagnosis engine for one design. It wraps the
 // monolithic diagnosis engine and heterogeneous graph, adding the region
 // partition and the parallel region-walk machinery. Safe for concurrent
-// use: every DiagnoseCtx/BacktraceCtx call draws private scratch and
-// forked scoring engines from internal pools.
+// use: every DiagnoseCtx/BacktraceCtx call draws private walk scratch from
+// internal pools, and scores on forks from the diagnosis engine's pool.
 type Engine struct {
 	diag  *diagnosis.Engine
 	graph *hgraph.Graph
@@ -122,7 +122,6 @@ type Engine struct {
 
 	gateScratch sync.Pool // *walkScratch sized for the gate graph
 	pinScratch  sync.Pool // *walkScratch sized for the pin graph
-	forks       sync.Pool // *diagnosis.Engine forks for parallel scoring
 }
 
 // New partitions the design into regions and builds the engine.
@@ -164,7 +163,6 @@ func New(diag *diagnosis.Engine, graph *hgraph.Graph, opt Options) (*Engine, err
 	}
 	e.gateScratch.New = func() any { return newWalkScratch(len(nl.Gates), k) }
 	e.pinScratch.New = func() any { return newWalkScratch(graph.NumNodes, k) }
-	e.forks.New = func() any { return diag.Fork() }
 	if r := opt.Obs; r != nil {
 		r.Describe("m3d_hier_regions", "Regions the hierarchical engine partitioned the design into.")
 		r.Describe("m3d_hier_cut_edges", "Pin-graph fan-in edges crossing a region boundary.")
@@ -222,19 +220,23 @@ func (s *walkScratch) reset() {
 }
 
 // DiagnoseCtx produces the ranked single-fault diagnosis report for the
-// log, bitwise-identical to the monolithic Engine.DiagnoseCtx.
+// log, bitwise-identical to the monolithic Engine.DiagnoseCtx: the region
+// walk replaces the suspect-vote stage, and candidate scoring is the
+// monolithic engine's own shared stage.
 func (e *Engine) DiagnoseCtx(ctx context.Context, log *failurelog.Log) (*diagnosis.Report, error) {
 	defer obs.Start(ctx, "hier.diagnose").End()
+	ctx, leave := par.Enter(ctx)
+	defer leave()
 	orig := log
 	log = e.diag.Sanitize(log)
 	if log.Empty() {
-		return e.diag.AssembleReport(orig, nil), nil
+		return &diagnosis.Report{Design: orig.Design, Compacted: orig.Compacted}, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("hier: diagnose: %w", err)
 	}
 
-	// Stage 1: per-response suspect votes via the region frontier walk.
+	// Per-response suspect votes via the region frontier walk.
 	span := obs.Start(ctx, "hier.votes")
 	s := e.gateScratch.Get().(*walkScratch)
 	s.reset()
@@ -250,65 +252,12 @@ func (e *Engine) DiagnoseCtx(ctx context.Context, log *failurelog.Log) (*diagnos
 	span.End()
 	obs.Add(ctx, "m3d_hier_candidates_total", int64(len(cands)))
 
-	// Read-only, so every pooled fork scores against the same masks.
-	observed := e.diag.Observe(log)
-	workers := par.Workers(e.opt.Workers)
-	engines := make([]*diagnosis.Engine, workers)
-	for i := range engines {
-		engines[i] = e.forks.Get().(*diagnosis.Engine)
-	}
-	defer func() {
-		for _, eng := range engines {
-			e.forks.Put(eng)
-		}
-	}()
-
-	// Stage 2: score the candidate pool in parallel on forked engines.
-	// Results are index-ordered, then filtered in order, so the scored
-	// slice matches the monolithic serial loop exactly.
-	span = obs.Start(ctx, "hier.score")
-	scoredAll, err := par.MapWorkerCtx(ctx, workers, len(cands), func(w, i int) diagnosis.Candidate {
-		return engines[w].ScoreCandidate(cands[i], observed)
-	})
-	span.End()
+	rep, err := e.diag.DiagnoseCandidates(ctx, orig, log, cands)
 	if err != nil {
 		return nil, fmt.Errorf("hier: diagnose: %w", err)
 	}
-	scored := make([]diagnosis.Candidate, 0, len(scoredAll))
-	for _, c := range scoredAll {
-		if c.TFSF > 0 {
-			scored = append(scored, c)
-		}
-	}
-	diagnosis.RankCandidates(scored)
-
-	// Stage 3: refine the strongest net-level candidates to pin
-	// granularity. The (candidate, branch) pairs are flattened in rank
-	// order so the parallel scores append in the monolithic order.
-	span = obs.Start(ctx, "hier.refine")
-	top := len(scored)
-	if top > diagnosis.RefineTop {
-		top = diagnosis.RefineTop
-	}
-	var branches []faultsim.Fault
-	for _, c := range scored[:top] {
-		branches = append(branches, e.diag.BranchExpansions(c.Fault)...)
-	}
-	branchScored, err := par.MapWorkerCtx(ctx, workers, len(branches), func(w, i int) diagnosis.Candidate {
-		return engines[w].ScoreCandidate(branches[i], observed)
-	})
-	span.End()
-	if err != nil {
-		return nil, fmt.Errorf("hier: diagnose: %w", err)
-	}
-	for _, c := range branchScored {
-		if c.TFSF > 0 {
-			scored = append(scored, c)
-		}
-	}
-	diagnosis.RankCandidates(scored)
 	obs.Add(ctx, "m3d_hier_diagnoses_total", 1)
-	return e.diag.AssembleReport(orig, scored), nil
+	return rep, nil
 }
 
 // gateVotes accumulates per-gate suspect votes: one vote per failing

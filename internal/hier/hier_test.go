@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 	"repro/internal/faultsim"
 	"repro/internal/gen"
 	"repro/internal/hgraph"
+	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/scan"
 )
@@ -69,6 +71,13 @@ func getFixture(t *testing.T) *fixture {
 		}
 		if len(f.logs) < 10 {
 			t.Fatalf("too few detectable fault logs: %d", len(f.logs))
+		}
+		// Tester-truncated copies of two compacted and two uncompacted logs.
+		for _, log := range f.logs[:4] {
+			trunc := *log
+			trunc.Fails = log.Fails[:(len(log.Fails)+1)/2]
+			trunc.Truncated = true
+			f.logs = append(f.logs, &trunc)
 		}
 		fix = f
 	})
@@ -189,35 +198,65 @@ func TestHierWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestHierConcurrentCalls drives one engine from many goroutines (the
-// volume-diagnosis usage) under the race detector: pooled scratch and
-// forked scoring engines must never be shared between in-flight calls.
-func TestHierConcurrentCalls(t *testing.T) {
-	fx := getFixture(t)
-	e := newHier(t, fx, Options{Regions: 4, Workers: 2})
-	ctx := context.Background()
-	want := make([]*diagnosis.Report, len(fx.logs))
-	for i, log := range fx.logs {
-		r, err := e.DiagnoseCtx(ctx, log)
+// serialReports diagnoses the logs on the monolithic engine with every
+// core counted busy, so scoring runs on the serial schedule.
+func serialReports(t *testing.T, eng *diagnosis.Engine, logs []*failurelog.Log) []*diagnosis.Report {
+	t.Helper()
+	var leaves []func()
+	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
+		_, leave := par.Enter(context.Background())
+		leaves = append(leaves, leave)
+	}
+	defer func() {
+		for _, l := range leaves {
+			l()
+		}
+	}()
+	want := make([]*diagnosis.Report, len(logs))
+	for i, log := range logs {
+		r, err := eng.DiagnoseCtx(context.Background(), log)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = r
 	}
+	return want
+}
+
+// TestHierConcurrentCalls drives one engine from one caller and from more
+// callers than cores (the volume-diagnosis usage) under the race
+// detector: reports must equal the serial schedule's either way, and
+// pooled scratch and forked scoring engines must never be shared between
+// in-flight calls.
+func TestHierConcurrentCalls(t *testing.T) {
+	fx := getFixture(t)
+	e := newHier(t, fx, Options{Regions: 4, Workers: 2})
+	ctx := context.Background()
+	want := serialReports(t, fx.eng, fx.logs)
+	for i, log := range fx.logs {
+		got, err := e.DiagnoseCtx(ctx, log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want[i], got) {
+			t.Fatalf("log %d: idle report differs from the serial schedule", i)
+		}
+	}
+	callers := runtime.GOMAXPROCS(0) + 2
 	var wg sync.WaitGroup
-	errc := make(chan error, 16)
-	for w := 0; w < 8; w++ {
+	errc := make(chan error, callers)
+	for w := 0; w < callers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := w; i < len(fx.logs); i += 8 {
+			for i := w; i < len(fx.logs); i += callers {
 				got, err := e.DiagnoseCtx(ctx, fx.logs[i])
 				if err != nil {
 					errc <- err
 					return
 				}
 				if !reflect.DeepEqual(want[i], got) {
-					errc <- errors.New("concurrent report differs from serial")
+					errc <- errors.New("concurrent report differs from the serial schedule")
 					return
 				}
 				if _, err := e.BacktraceCtx(ctx, fx.logs[i]); err != nil {

@@ -252,6 +252,8 @@ func New(b *dataset.Bundle, fw *core.Framework, cfg Config) *Server {
 		cfg.Metrics.Describe("m3d_http_request_seconds", "Wall time per request, by route.")
 		cfg.Metrics.Describe("m3d_shed_total", "Requests shed without executing, by reason.")
 		cfg.Metrics.Describe(policy.ForwardHistogram, "GNN forward-pass wall time per request, by model (miv/tier/cls).")
+		cfg.Metrics.Describe(diagnosis.ScoreWorkersHistogram, "Goroutines that scored each diagnosis's candidates: the caller plus the helpers idle cores admitted.")
+		cfg.Metrics.Describe(core.BacktraceOverlappedCounter, "Diagnoses whose GNN back-trace ran on an idle core beside ATPG diagnosis.")
 		mux.Handle("/metrics", cfg.Metrics)
 	}
 	if cfg.Tracer != nil {
