@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/atpg"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/experiment"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/gnn"
 	"repro/internal/hgraph"
 	"repro/internal/hier"
+	"repro/internal/partition"
 	"repro/internal/policy"
 )
 
@@ -334,6 +336,23 @@ func BenchmarkDatasetGenerate(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(count*b.N)/b.Elapsed().Seconds(), "samples/sec")
+}
+
+// BenchmarkATPGGenerate measures set-up's pattern generation on the full
+// aes fixture design under default options: the random phase with fault
+// dropping, then the PODEM top-up with its event-driven implication.
+func BenchmarkATPGGenerate(b *testing.B) {
+	p, _ := gen.ProfileByName("aes")
+	m3d, err := partition.Partition(gen.Generate(p, 1), partition.FM, partition.Options{Seed: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := atpg.Generate(m3d, atpg.Options{Seed: 3}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkGNNFit measures data-parallel mini-batch training of the

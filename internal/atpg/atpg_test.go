@@ -1,6 +1,9 @@
 package atpg
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/faultsim"
@@ -57,6 +60,42 @@ func TestTopUpImprovesCoverage(t *testing.T) {
 	}
 	if withTop.DeterministicPatterns == 0 {
 		t.Fatal("no deterministic patterns generated")
+	}
+	// The top-up's success path, pinned: on the full designs PODEM adds no
+	// pattern (see TestScaleATPG), here it adds two.
+	checkGolden(t, "starved small design", withTop,
+		golden{"b59eddac75d7ecf4d6c082c53168a9543de23132317c93ef52bc2f0e192d7f14", 1004, 936, 64, 2})
+}
+
+// TestPodemPatternsPinned runs PODEM on every fault of the small design and
+// pins which faults it finds a pattern for and the bits of each pattern.
+func TestPodemPatternsPinned(t *testing.T) {
+	n := smallDesign(t)
+	gen := newPodem(n, 24)
+	faults := faultsim.AllFaults(n)
+	h := sha256.New()
+	found := 0
+	for _, f := range faults {
+		ps, ok := gen.generate(f)
+		if !ok {
+			h.Write([]byte{0})
+			continue
+		}
+		found++
+		h.Write([]byte{1})
+		var b [8]byte
+		for _, plane := range [][][]uint64{ps.PI, ps.FF} {
+			for _, sig := range plane {
+				binary.LittleEndian.PutUint64(b[:], sig[0])
+				h.Write(b[:])
+			}
+		}
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	const want = "8195f2a24f39a6bcadd67401b0c37ced8640fc7169cc7d9b75358c3073dc7ac1"
+	if len(faults) != 1004 || found != 786 || got != want {
+		t.Fatalf("PODEM outcomes changed: %d faults, %d patterns, digest %s; want 1004, 786, %s",
+			len(faults), found, got, want)
 	}
 }
 

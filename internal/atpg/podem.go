@@ -32,12 +32,11 @@ type podem struct {
 
 	obsSrc []int // capture gates (fanin of POs and flops), deduped
 
-	// Incremental implication machinery: per decision variable, the
-	// topologically sorted frame-1 and frame-2 update cones (lazily built).
-	// Variable index space: [0, len(PIs)) PIs, then FFs.
-	pos   []int32
-	cone1 [][]int32
-	cone2 [][]int32
+	// Event-driven implication scratch: gates are evaluated in level
+	// order; mark[g] == stamp deduplicates pushes within one pass.
+	pos   []int32 // gate -> index in order
+	queue *netlist.LevelQueue
+	seeds []int32 // frame-2 seeds gathered by the frame-1 pass
 	mark  []int32
 	stamp int32
 }
@@ -87,9 +86,7 @@ func newPodem(n *netlist.Netlist, maxBacktracks int) *podem {
 	for i, id := range p.order {
 		p.pos[id] = int32(i)
 	}
-	nvars := len(n.PIs) + len(n.FFs)
-	p.cone1 = make([][]int32, nvars)
-	p.cone2 = make([][]int32, nvars)
+	p.queue = netlist.NewLevelQueue(n)
 	p.mark = make([]int32, len(n.Gates))
 	for i := range p.mark {
 		p.mark[i] = -1
@@ -97,139 +94,80 @@ func newPodem(n *netlist.Netlist, maxBacktracks int) *podem {
 	return p
 }
 
-// varGate maps a decision-variable index to its gate.
-func (p *podem) varGate(v int) int {
-	if v < len(p.n.PIs) {
-		return p.n.PIs[v]
-	}
-	return p.n.FFs[v-len(p.n.PIs)]
-}
-
-// buildCones computes the frame-1 and frame-2 update cones of variable v.
-// cone1 is the combinational fan-out cone of the variable's gate (stopping
-// at flop data pins); cone2 adds the frame-2 re-entry: flops fed from
-// cone1 plus their combinational fan-out cones, and — for primary inputs,
-// which drive both frames — cone1 itself.
-func (p *podem) buildCones(v int) {
+// assign sets a decision variable (val 0, 1 or vX) and re-implies the three
+// planes event-driven, in two level-ordered passes. The frame-1 pass
+// re-evaluates f1 from the variable's gate forward, stopping at flop data
+// pins. The frame-2 pass re-evaluates g2/b2 from three kinds of seed: the
+// primary input itself (inputs drive both frames), every flop whose data
+// pin changed in frame 1, and the fault gate when frame 1 changed at the
+// value its slow-transition transform reads (applyTDF3's launch value).
+// Each pass propagates only past gates whose value changed, so an
+// implication costs what it changes; the result equals a full imply.
+func (p *podem) assign(isPI bool, idx int, val byte, f faultsim.Fault) {
 	n := p.n
-	root := p.varGate(v)
+	var root int
+	if isPI {
+		p.piVal[idx] = val
+		root = n.PIs[idx]
+	} else {
+		p.ffVal[idx] = val
+		root = n.FFs[idx]
+	}
+	launch := f.Gate
+	if f.Pin != faultsim.OutputPin {
+		launch = n.Gates[f.Gate].Fanin[f.Pin]
+	}
+	p.seeds = p.seeds[:0]
+	if isPI {
+		p.seeds = append(p.seeds, int32(root))
+	}
+
+	q := p.queue
+	q.Reset()
 	p.stamp++
 	st := p.stamp
-	var c1 []int32
-	stack := []int32{int32(root)}
 	p.mark[root] = st
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		c1 = append(c1, id)
-		if n.Gates[id].Type == netlist.DFF && int(id) != root {
+	q.Push(int32(root))
+	for !q.Empty() {
+		id := int(q.PopMin())
+		v := p.frame1(id)
+		if v == p.f1[id] {
 			continue
 		}
-		for _, s := range n.Gates[id].Fanout {
-			if p.mark[s] == st || n.Gates[s].Type == netlist.DFF {
-				continue
-			}
-			p.mark[s] = st
-			stack = append(stack, int32(s))
+		p.f1[id] = v
+		if id == launch {
+			p.seeds = append(p.seeds, int32(f.Gate))
 		}
-	}
-	// Frame-2 entry points: every flop whose data pin is fed from cone1
-	// (including the root itself on feedback paths).
-	p.stamp++
-	epSt := p.stamp
-	var endpoints []int32
-	for _, id := range c1 {
 		for _, s := range n.Gates[id].Fanout {
-			if n.Gates[s].Type == netlist.DFF && p.mark[s] != epSt {
-				p.mark[s] = epSt
-				endpoints = append(endpoints, int32(s))
-			}
-		}
-	}
-	// Frame-2 cone.
-	p.stamp++
-	st2 := p.stamp
-	var c2 []int32
-	stack = stack[:0]
-	push := func(id int32) {
-		if p.mark[id] != st2 {
-			p.mark[id] = st2
-			stack = append(stack, id)
-		}
-	}
-	if v < len(n.PIs) {
-		push(int32(root))
-	}
-	for _, ep := range endpoints {
-		push(ep)
-	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		c2 = append(c2, id)
-		for _, s := range n.Gates[id].Fanout {
-			if p.mark[s] == st2 {
-				continue
-			}
 			if n.Gates[s].Type == netlist.DFF {
-				continue // no third frame
+				p.seeds = append(p.seeds, int32(s))
+			} else if p.mark[s] != st {
+				p.mark[s] = st
+				q.Push(int32(s))
 			}
-			push(int32(s))
 		}
 	}
-	sortByPos(c1, p.pos)
-	sortByPos(c2, p.pos)
-	p.cone1[v] = c1
-	p.cone2[v] = c2
-}
 
-func sortByPos(ids []int32, pos []int32) {
-	sort.Slice(ids, func(i, j int) bool { return pos[ids[i]] < pos[ids[j]] })
-}
-
-// propagate incrementally re-evaluates both frames after variable v
-// changed, applying the fault's frame-2 transforms.
-func (p *podem) propagate(v int, f faultsim.Fault) {
-	if p.cone1[v] == nil {
-		p.buildCones(v)
-	}
-	n := p.n
-	for _, id := range p.cone1[v] {
-		g := n.Gates[int(id)]
-		switch g.Type {
-		case netlist.Input:
-			p.f1[id] = p.piVal[p.piIdx[int(id)]]
-		case netlist.DFF:
-			p.f1[id] = p.ffVal[p.ffIdx[int(id)]]
-		default:
-			p.f1[id] = eval3(g, p.f1, -1, vX, 0)
+	p.stamp++
+	st = p.stamp
+	for _, id := range p.seeds {
+		if p.mark[id] != st {
+			p.mark[id] = st
+			q.Push(id)
 		}
 	}
-	for _, id := range p.cone2[v] {
-		g := n.Gates[int(id)]
-		switch g.Type {
-		case netlist.Input:
-			p.g2[id] = p.piVal[p.piIdx[int(id)]]
-			p.b2[id] = p.g2[id]
-			continue
-		case netlist.DFF:
-			p.g2[id] = p.f1[g.Fanin[0]]
-			p.b2[id] = p.g2[id]
-			if f.Pin == faultsim.OutputPin && f.Gate == int(id) {
-				p.b2[id] = applyTDF3(f.Pol, p.f1[id], p.b2[id])
-			}
+	for !q.Empty() {
+		id := int(q.PopMin())
+		gv, bv := p.frame2(id, f)
+		if gv == p.g2[id] && bv == p.b2[id] {
 			continue
 		}
-		p.g2[id] = eval3(g, p.g2, -1, vX, 0)
-		if f.Pin != faultsim.OutputPin && f.Gate == int(id) {
-			src := g.Fanin[f.Pin]
-			fval := applyTDF3(f.Pol, p.f1[src], p.b2[src])
-			p.b2[id] = eval3(g, p.b2, f.Pin, fval, 0)
-		} else {
-			p.b2[id] = eval3(g, p.b2, -1, vX, 0)
-		}
-		if f.Pin == faultsim.OutputPin && f.Gate == int(id) {
-			p.b2[id] = applyTDF3(f.Pol, p.f1[id], p.b2[id])
+		p.g2[id], p.b2[id] = gv, bv
+		for _, s := range n.Gates[id].Fanout {
+			if n.Gates[s].Type != netlist.DFF && p.mark[s] != st { // no third frame
+				p.mark[s] = st
+				q.Push(int32(s))
+			}
 		}
 	}
 }
@@ -243,8 +181,8 @@ type decision struct {
 }
 
 // generate searches for a single LOC pattern detecting the fault. It
-// returns (pattern, true) on success. Implication is incremental: a full
-// three-plane evaluation once per target, then per-assignment cone updates.
+// returns (pattern, true) on success. Implication is a full three-plane
+// evaluation once per target, then one event-driven assign per decision.
 func (p *podem) generate(f faultsim.Fault) (*sim.PatternSet, bool) {
 	for i := range p.piVal {
 		p.piVal[i] = vX
@@ -263,21 +201,11 @@ func (p *podem) generate(f faultsim.Fault) (*sim.PatternSet, bool) {
 	siteCone := p.siteCone(f)
 
 	// Bound total work per fault: assignments and backtracks both trigger
-	// one incremental propagation.
+	// one implication.
 	implications := 0
 	maxImplications := 10 * p.maxBacktracks
 	var stack []decision
 	backtracks := 0
-
-	update := func(isPI bool, idx int, val byte) {
-		p.assign(isPI, idx, val)
-		v := idx
-		if !isPI {
-			v += len(p.n.PIs)
-		}
-		p.propagate(v, f)
-		p.refreshSiteCone(siteCone, f)
-	}
 
 	for {
 		implications++
@@ -287,12 +215,12 @@ func (p *podem) generate(f faultsim.Fault) (*sim.PatternSet, bool) {
 		if p.detected(f) {
 			return p.pattern(), true
 		}
-		objGate, objVal, objFrame, ok := p.objective(f, site, want1, want2)
+		objGate, objVal, objFrame, ok := p.objective(f, site, want1, want2, siteCone)
 		if ok {
 			varIsPI, idx, val, traced := p.backtrace(objGate, objVal, objFrame)
 			if traced {
 				stack = append(stack, decision{isPI: varIsPI, idx: idx, val: val})
-				update(varIsPI, idx, val)
+				p.assign(varIsPI, idx, val, f)
 				continue
 			}
 		}
@@ -305,23 +233,22 @@ func (p *podem) generate(f faultsim.Fault) (*sim.PatternSet, bool) {
 			if !top.flipped {
 				top.flipped = true
 				top.val = 1 - top.val
-				update(top.isPI, top.idx, top.val)
+				p.assign(top.isPI, top.idx, top.val, f)
 				backtracks++
 				if backtracks > p.maxBacktracks {
 					return nil, false
 				}
 				break
 			}
-			update(top.isPI, top.idx, vX)
+			p.assign(top.isPI, top.idx, vX, f)
 			stack = stack[:len(stack)-1]
 		}
 	}
 }
 
 // siteCone returns the topologically sorted frame-2 combinational fan-out
-// cone of the fault gate. The faulty-plane transforms at the site read
-// frame-1 values, so any frame-1 change can invalidate this region even
-// when no frame-2 event reaches it.
+// cone of the fault gate: the only gates whose faulty value can differ
+// from the good one, and so the only place the D-frontier can be.
 func (p *podem) siteCone(f faultsim.Fault) []int32 {
 	n := p.n
 	p.stamp++
@@ -333,55 +260,15 @@ func (p *podem) siteCone(f faultsim.Fault) []int32 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		cone = append(cone, id)
-		g := n.Gates[int(id)]
-		if g.Type == netlist.DFF && int(id) != f.Gate {
-			continue
-		}
-		for _, s := range g.Fanout {
+		for _, s := range n.Gates[id].Fanout {
 			if p.mark[s] != st && n.Gates[s].Type != netlist.DFF {
 				p.mark[s] = st
 				stack = append(stack, int32(s))
 			}
 		}
 	}
-	sortByPos(cone, p.pos)
+	sort.Slice(cone, func(i, j int) bool { return p.pos[cone[i]] < p.pos[cone[j]] })
 	return cone
-}
-
-// refreshSiteCone re-evaluates the faulty plane over the site cone.
-func (p *podem) refreshSiteCone(cone []int32, f faultsim.Fault) {
-	n := p.n
-	for _, id := range cone {
-		g := n.Gates[int(id)]
-		switch g.Type {
-		case netlist.Input:
-			continue
-		case netlist.DFF:
-			p.b2[id] = p.f1[g.Fanin[0]]
-			if f.Pin == faultsim.OutputPin && f.Gate == int(id) {
-				p.b2[id] = applyTDF3(f.Pol, p.f1[id], p.b2[id])
-			}
-			continue
-		}
-		if f.Pin != faultsim.OutputPin && f.Gate == int(id) {
-			src := g.Fanin[f.Pin]
-			fval := applyTDF3(f.Pol, p.f1[src], p.b2[src])
-			p.b2[id] = eval3(g, p.b2, f.Pin, fval, 0)
-		} else {
-			p.b2[id] = eval3(g, p.b2, -1, vX, 0)
-		}
-		if f.Pin == faultsim.OutputPin && f.Gate == int(id) {
-			p.b2[id] = applyTDF3(f.Pol, p.f1[id], p.b2[id])
-		}
-	}
-}
-
-func (p *podem) assign(isPI bool, idx int, val byte) {
-	if isPI {
-		p.piVal[idx] = val
-	} else {
-		p.ffVal[idx] = val
-	}
 }
 
 // pattern converts the current assignment (X bits filled with 0) into a
@@ -398,56 +285,55 @@ func (p *podem) pattern() *sim.PatternSet {
 }
 
 // imply performs full three-valued evaluation of both frames and the
-// faulty frame-2 machine.
+// faulty frame-2 machine. It is the oracle assign's event-driven passes
+// must reproduce.
 func (p *podem) imply(f faultsim.Fault) {
-	n := p.n
 	for _, id := range p.order {
-		g := n.Gates[id]
-		switch g.Type {
-		case netlist.Input:
-			p.f1[id] = p.piVal[p.piIdx[id]]
-		case netlist.DFF:
-			p.f1[id] = p.ffVal[p.ffIdx[id]]
-		default:
-			p.f1[id] = eval3(g, p.f1, -1, vX, 0)
-		}
+		p.f1[id] = p.frame1(id)
 	}
 	for _, id := range p.order {
-		g := n.Gates[id]
-		switch g.Type {
-		case netlist.Input:
-			p.g2[id] = p.piVal[p.piIdx[id]]
-		case netlist.DFF:
-			p.g2[id] = p.f1[g.Fanin[0]]
-		default:
-			p.g2[id] = eval3(g, p.g2, -1, vX, 0)
-		}
+		p.g2[id], p.b2[id] = p.frame2(id, f)
 	}
-	for _, id := range p.order {
-		g := n.Gates[id]
-		switch g.Type {
-		case netlist.Input:
-			p.b2[id] = p.piVal[p.piIdx[id]]
-		case netlist.DFF:
-			p.b2[id] = p.f1[g.Fanin[0]]
-			if f.Pin == faultsim.OutputPin && f.Gate == id {
-				p.b2[id] = applyTDF3(f.Pol, p.f1[id], p.b2[id])
-			}
-			continue
-		default:
+}
+
+// frame1 evaluates gate id's launch-frame value from its fanin in f1.
+func (p *podem) frame1(id int) byte {
+	g := p.n.Gates[id]
+	switch g.Type {
+	case netlist.Input:
+		return p.piVal[p.piIdx[id]]
+	case netlist.DFF:
+		return p.ffVal[p.ffIdx[id]]
+	}
+	return eval3(g, p.f1, -1, vX)
+}
+
+// frame2 evaluates gate id's capture-frame good and faulty values from its
+// fanin in g2 and b2. A flop captures its frame-1 data pin; the fault
+// transforms the faulty value at its site, reading the launch value in f1.
+func (p *podem) frame2(id int, f faultsim.Fault) (good, bad byte) {
+	g := p.n.Gates[id]
+	switch g.Type {
+	case netlist.Input:
+		good = p.piVal[p.piIdx[id]]
+		bad = good
+	case netlist.DFF:
+		good = p.f1[g.Fanin[0]]
+		bad = good
+	default:
+		good = eval3(g, p.g2, -1, vX)
+		if f.Pin != faultsim.OutputPin && f.Gate == id {
 			// Input-pin fault on this gate: perturb that branch only.
-			if f.Pin != faultsim.OutputPin && f.Gate == id {
-				src := g.Fanin[f.Pin]
-				fval := applyTDF3(f.Pol, p.f1[src], p.b2[src])
-				p.b2[id] = eval3(g, p.b2, f.Pin, fval, 0)
-			} else {
-				p.b2[id] = eval3(g, p.b2, -1, vX, 0)
-			}
-		}
-		if f.Pin == faultsim.OutputPin && f.Gate == id {
-			p.b2[id] = applyTDF3(f.Pol, p.f1[id], p.b2[id])
+			src := g.Fanin[f.Pin]
+			bad = eval3(g, p.b2, f.Pin, applyTDF3(f.Pol, p.f1[src], p.b2[src]))
+		} else {
+			bad = eval3(g, p.b2, -1, vX)
 		}
 	}
+	if f.Pin == faultsim.OutputPin && f.Gate == id {
+		bad = applyTDF3(f.Pol, p.f1[id], bad)
+	}
+	return good, bad
 }
 
 // applyTDF3 is the three-valued slow-transition transform: where the launch
@@ -468,7 +354,7 @@ func applyTDF3(pol faultsim.Polarity, launch, capture byte) byte {
 
 // eval3 evaluates gate g on the three-valued plane vals; if overridePin is
 // >= 0 that input takes overrideVal instead of its source value.
-func eval3(g *netlist.Gate, vals []byte, overridePin int, overrideVal byte, _ int) byte {
+func eval3(g *netlist.Gate, vals []byte, overridePin int, overrideVal byte) byte {
 	in := func(pin int) byte {
 		if pin == overridePin {
 			return overrideVal
@@ -580,8 +466,12 @@ func (p *podem) detected(f faultsim.Fault) bool {
 
 // objective returns the next PODEM objective: activate the launch value,
 // then the capture transition, then advance the D-frontier. ok=false means
-// the current assignment cannot detect the fault (conflict).
-func (p *podem) objective(f faultsim.Fault, site int, want1, want2 byte) (gate int, val byte, frame int, ok bool) {
+// the current assignment cannot detect the fault (conflict). The frontier
+// is the first gate in topological order with a D input and an X input; a
+// D can only sit on the fault's frame-2 cone (siteCone, topologically
+// sorted) or on the fault's own input pin, so scanning the cone finds the
+// same gate as scanning the whole order.
+func (p *podem) objective(f faultsim.Fault, site int, want1, want2 byte, siteCone []int32) (gate int, val byte, frame int, ok bool) {
 	switch p.f1[site] {
 	case vX:
 		return site, want1, 1, true
@@ -598,7 +488,8 @@ func (p *podem) objective(f faultsim.Fault, site int, want1, want2 byte) (gate i
 		return 0, 0, 0, false
 	}
 	// Site is activated: advance the D-frontier in frame 2.
-	for _, id := range p.order {
+	for _, id32 := range siteCone {
+		id := int(id32)
 		g := p.n.Gates[id]
 		if g.Type.IsSource() || g.Type == netlist.Output {
 			continue
@@ -681,20 +572,16 @@ func (p *podem) backtrace(gate int, val byte, frame int) (isPI bool, idx int, ou
 			if inv {
 				need = 1 - need
 			}
-			isAnd := g.Type == netlist.And || g.Type == netlist.Nand
 			// need==1 on an AND (all non-controlling) or need==0 on an OR:
 			// set every X input; pick the first. Otherwise one controlling
-			// input suffices; pick the first X input.
+			// input suffices; pick the first X input. Either way that input
+			// takes the needed value.
 			pin := firstXPin(g, vals)
 			if pin < 0 {
 				return false, 0, 0, false
 			}
 			gate = g.Fanin[pin]
-			if isAnd {
-				val = need // 1: non-controlling; 0: controlling
-			} else {
-				val = need
-			}
+			val = need
 		case netlist.Xor, netlist.Xnor:
 			// Parity: pick an X input and solve for it given known inputs.
 			parity := val

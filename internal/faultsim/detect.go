@@ -8,14 +8,12 @@ import (
 // detectState holds reusable buffers for the single-word event-driven
 // detection fast path, avoiding per-call allocation in the ATPG inner loop.
 type detectState struct {
-	fval    []uint64 // faulty value per gate (valid when vstamp matches)
-	vstamp  []int32
-	pstamp  []int32 // pushed-to-queue stamp
-	stamp   int32
-	queue   *levelQueue
-	isCapt  []bool // gate feeds a flop data pin or a primary output
-	inBuf   []uint64
-	capture bool
+	fval   []uint64 // faulty value per gate (valid when vstamp matches)
+	vstamp []int32
+	pstamp []int32 // pushed-to-queue stamp
+	stamp  int32
+	queue  *netlist.LevelQueue
+	isCapt []bool // gate feeds a flop data pin or a primary output
 }
 
 func (e *Engine) initDetect() {
@@ -25,7 +23,6 @@ func (e *Engine) initDetect() {
 		vstamp: make([]int32, len(n.Gates)),
 		pstamp: make([]int32, len(n.Gates)),
 		isCapt: make([]bool, len(n.Gates)),
-		inBuf:  make([]uint64, 8),
 	}
 	for i := range ds.vstamp {
 		ds.vstamp[i] = -1
@@ -37,7 +34,7 @@ func (e *Engine) initDetect() {
 	for _, ff := range n.FFs {
 		ds.isCapt[n.Gates[ff].Fanin[0]] = true
 	}
-	ds.queue = newLevelQueue(n)
+	ds.queue = netlist.NewLevelQueue(n)
 	e.ds = ds
 }
 
@@ -75,13 +72,13 @@ func (e *Engine) detectsFast(res *sim.Result, f Fault) bool {
 
 	// Seed: the gate whose evaluation the fault perturbs.
 	seed := f.Gate
-	ds.queue.reset()
-	ds.queue.push(int32(seed))
+	ds.queue.Reset()
+	ds.queue.Push(int32(seed))
 	ds.pstamp[seed] = st
 	seedIsDFFOut := f.Pin == OutputPin && n.Gates[seed].Type == netlist.DFF
 
-	for !ds.queue.empty() {
-		id := int(ds.queue.popMin())
+	for !ds.queue.Empty() {
+		id := int(ds.queue.PopMin())
 		g := n.Gates[id]
 		var out uint64
 		switch {
@@ -93,12 +90,12 @@ func (e *Engine) detectsFast(res *sim.Result, f Fault) bool {
 		case g.Type == netlist.Output:
 			continue
 		default:
-			out = evalFast(g, faulty, ds.inBuf)
+			out = evalFast(g, faulty)
 			if id == f.Gate && f.Pin != OutputPin {
 				// Re-evaluate with the perturbed branch.
 				src := g.Fanin[f.Pin]
 				pert := applyTDF(f.Pol, res.V1[src][0], faulty(src))
-				out = evalFastOverride(g, faulty, f.Pin, pert, ds.inBuf)
+				out = evalFastOverride(g, faulty, f.Pin, pert)
 			}
 			if id == f.Gate && f.Pin == OutputPin {
 				out = applyTDF(f.Pol, res.V1[id][0], out)
@@ -122,7 +119,7 @@ func (e *Engine) detectsFast(res *sim.Result, f Fault) bool {
 			}
 			if ds.pstamp[s] != st {
 				ds.pstamp[s] = st
-				ds.queue.push(int32(s))
+				ds.queue.Push(int32(s))
 			}
 		}
 	}
@@ -130,7 +127,7 @@ func (e *Engine) detectsFast(res *sim.Result, f Fault) bool {
 }
 
 // evalFast evaluates a gate on single-word values supplied by val.
-func evalFast(g *netlist.Gate, val func(int) uint64, buf []uint64) uint64 {
+func evalFast(g *netlist.Gate, val func(int) uint64) uint64 {
 	switch g.Type {
 	case netlist.Buf:
 		return val(g.Fanin[0])
@@ -171,7 +168,7 @@ func evalFast(g *netlist.Gate, val func(int) uint64, buf []uint64) uint64 {
 }
 
 // evalFastOverride is evalFast with one input pin overridden.
-func evalFastOverride(g *netlist.Gate, val func(int) uint64, pin int, pv uint64, buf []uint64) uint64 {
+func evalFastOverride(g *netlist.Gate, val func(int) uint64, pin int, pv uint64) uint64 {
 	in := func(p int) uint64 {
 		if p == pin {
 			return pv

@@ -13,7 +13,7 @@ type diffState struct {
 	vstamp []int32
 	pstamp []int32
 	stamp  int32
-	queue  *levelQueue
+	queue  *netlist.LevelQueue
 	capts  []int32 // changed capture gates collected during propagation
 	isCapt []bool
 	out    []uint64  // words: gate evaluation result
@@ -45,7 +45,7 @@ func (e *Engine) initDiff(words int) {
 	for _, ff := range n.FFs {
 		ds.isCapt[n.Gates[ff].Fanin[0]] = true
 	}
-	ds.queue = newLevelQueue(n)
+	ds.queue = netlist.NewLevelQueue(n)
 	e.dfs = ds
 }
 
@@ -83,7 +83,7 @@ func (e *Engine) DiffObs(res *sim.Result, f Fault) []ObsDiff {
 
 	seed := f.Gate
 	seedIsDFFOut := f.Pin == OutputPin && n.Gates[seed].Type == netlist.DFF
-	ds.queue.reset()
+	ds.queue.Reset()
 	ds.capts = ds.capts[:0]
 	// DFF/PO input-pin faults only perturb the observation itself.
 	obsOnly := false
@@ -94,13 +94,13 @@ func (e *Engine) DiffObs(res *sim.Result, f Fault) []ObsDiff {
 		}
 	}
 	if !obsOnly {
-		ds.queue.push(int32(seed))
+		ds.queue.Push(int32(seed))
 		ds.pstamp[seed] = st
 	}
 
 	out := ds.out
-	for !ds.queue.empty() {
-		id := int(ds.queue.popMin())
+	for !ds.queue.Empty() {
+		id := int(ds.queue.PopMin())
 		g := n.Gates[id]
 		switch {
 		case g.Type == netlist.DFF:
@@ -153,7 +153,7 @@ func (e *Engine) DiffObs(res *sim.Result, f Fault) []ObsDiff {
 			}
 			if ds.pstamp[s] != st {
 				ds.pstamp[s] = st
-				ds.queue.push(int32(s))
+				ds.queue.Push(int32(s))
 			}
 		}
 	}

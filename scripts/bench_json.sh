@@ -48,7 +48,7 @@ if [ "$gates" = 1 ]; then
   )
 fi
 
-flagship='^(BenchmarkTierInference|BenchmarkGNNFit|BenchmarkDiagnoseThroughput|BenchmarkHierDiagnose|BenchmarkDatasetGenerate|BenchmarkBacktrace)$'
+flagship='^(BenchmarkTierInference|BenchmarkGNNFit|BenchmarkDiagnoseThroughput|BenchmarkHierDiagnose|BenchmarkDatasetGenerate|BenchmarkBacktrace|BenchmarkATPGGenerate)$'
 {
   go test -run '^$' -bench "$flagship" -benchmem -benchtime "$benchtime" .
   go test -run '^$' -bench . -benchmem -benchtime "$benchtime" ./internal/gnn ./internal/mat
